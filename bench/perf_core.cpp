@@ -217,6 +217,17 @@ PerfStats per_item(PerfStats stats, int batch, const std::string& unit,
   return stats;
 }
 
+/// Pins the kernel mode for one benchmark body, restoring the previously
+/// requested mode (CLI/env selection) on exit.
+struct KernelModeScope {
+  explicit KernelModeScope(tensor::KernelMode mode)
+      : saved_(tensor::requested_kernel_mode()) {
+    tensor::set_kernel_mode(mode);
+  }
+  ~KernelModeScope() { tensor::set_kernel_mode(saved_); }
+  tensor::KernelMode saved_;
+};
+
 PerfStats bench_decision_infer(const PerfSuiteConfig& config) {
   runtime::EngineConfig ec;
   ec.scene = net::scene_by_name("4G indoor static");
@@ -234,6 +245,31 @@ PerfStats bench_decision_infer(const PerfSuiteConfig& config) {
     t_ms += 100.0;
     if (t_ms > 15'000.0) t_ms = 1'000.0;
   });
+}
+
+/// `decision_infer` at the scale the paper serves: VGG11 on one 3x32x32
+/// frame, deterministic kernels, a tree trained on the "4G outdoor quick"
+/// context (trace seed 3), and frames that cycle over a fixed grid of 16
+/// trace times. The tree's paths include compressed forks, so the timed
+/// call covers the Alg. 2 walk, the realized-path lookup and the forward.
+PerfStats bench_decision_infer_vgg11(const PerfSuiteConfig& config) {
+  const KernelModeScope scope(tensor::KernelMode::kDeterministic);
+  runtime::EngineConfig ec;
+  ec.scene = net::scene_by_name("4G outdoor quick");
+  ec.trace_seed = 3;
+  ec.tree_config.episodes = config.episodes;
+  ec.tree_config.branch_config.episodes = 2 * config.episodes;
+  runtime::DecisionEngine engine(nn::make_vgg11(), std::move(ec));
+  engine.train_offline();
+  util::Rng rng(0xD3C);
+  const auto input = tensor::Tensor::randn({1, 3, 32, 32}, rng, 0.3f);
+  constexpr int kGrid = 16;
+  int frame = 0;
+  return measure("decision_infer_vgg11", config.warmup, config.repetitions,
+                 [&] {
+                   const int g = (5 * frame++) % kGrid;
+                   engine.infer(input, 1'500.0 + 3'500.0 * g);
+                 });
 }
 
 PerfStats bench_branch_search_step(const PerfSuiteConfig& config,
@@ -381,17 +417,6 @@ PerfStats bench_parallel_search(const PerfSuiteConfig& config) {
 // kernels (skipped when the hardware can't run them). The post-pass in
 // run_perf_suite stamps the fast record with its measured
 // speedup_vs_deterministic ratio.
-
-/// Pins the kernel mode for one benchmark body, restoring the previously
-/// requested mode (CLI/env selection) on exit.
-struct KernelModeScope {
-  explicit KernelModeScope(tensor::KernelMode mode)
-      : saved_(tensor::requested_kernel_mode()) {
-    tensor::set_kernel_mode(mode);
-  }
-  ~KernelModeScope() { tensor::set_kernel_mode(saved_); }
-  tensor::KernelMode saved_;
-};
 
 PerfStats bench_gemm_nn(const PerfSuiteConfig& config, const char* name,
                         tensor::KernelMode mode) {
@@ -560,6 +585,8 @@ int run_perf_suite(const PerfSuiteConfig& config) {
   SuiteContext ctx;
   std::vector<PerfStats> results;
   if (selected("decision_infer")) results.push_back(bench_decision_infer(config));
+  if (selected("decision_infer_vgg11"))
+    results.push_back(bench_decision_infer_vgg11(config));
   if (selected("branch_search_step"))
     results.push_back(bench_branch_search_step(config, ctx));
   if (selected("transport_roundtrip"))

@@ -44,9 +44,12 @@ struct Evaluation {
   partition::LatencyBreakdown breakdown;
 };
 
-/// Weight-faithful realization of a strategy for actual execution: clones
+/// Weight-faithful realization of a strategy for actual execution: copies
 /// the base, applies the edge-side plan, and returns the transformed model
 /// together with the cut position re-expressed in transformed-layer indices.
+/// Copies share weight buffers (tensor::Tensor is copy-on-write), so every
+/// layer the plan leaves alone shares the base's memory; only layers a
+/// transform creates or prunes own new buffers.
 struct RealizedStrategy {
   nn::Model model;
   std::size_t cut = 0;  // boundary index in the transformed model

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace cadmc::nn {
 
@@ -126,7 +127,7 @@ void Conv2d::keep_filters(const std::vector<int>& filter_indices) {
   Tensor new_bias = has_bias_ ? Tensor({new_out}) : Tensor();
   const std::size_t per_filter =
       static_cast<std::size_t>(cig) * kernel_ * kernel_;
-  const float* src = weight_.data().data();
+  const float* src = std::as_const(weight_).data().data();
   float* dst = new_weight.data().data();
   for (int nf = 0; nf < new_out; ++nf) {
     const int f = filter_indices[static_cast<std::size_t>(nf)];
@@ -134,7 +135,7 @@ void Conv2d::keep_filters(const std::vector<int>& filter_indices) {
       throw std::out_of_range("Conv2d::keep_filters: bad index");
     std::copy_n(src + static_cast<std::size_t>(f) * per_filter, per_filter,
                 dst + static_cast<std::size_t>(nf) * per_filter);
-    if (has_bias_) new_bias(nf) = bias_(f);
+    if (has_bias_) new_bias(nf) = std::as_const(bias_)(f);
   }
   out_channels_ = new_out;
   weight_ = std::move(new_weight);
@@ -153,7 +154,7 @@ void Conv2d::keep_input_channels(const std::vector<int>& channel_indices) {
   Tensor new_weight({out_channels_, new_in, kernel_, kernel_});
   // Per (filter, channel) the k*k patch is contiguous in both tensors.
   const std::size_t ksq = static_cast<std::size_t>(kernel_) * kernel_;
-  const float* src = weight_.data().data();
+  const float* src = std::as_const(weight_).data().data();
   float* dst = new_weight.data().data();
   for (int f = 0; f < out_channels_; ++f)
     for (int nc = 0; nc < new_in; ++nc) {

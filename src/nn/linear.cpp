@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -35,7 +36,7 @@ Tensor Linear::forward(const Tensor& input, bool training) {
   Tensor out = tensor::matmul_nt(input, weight_);  // [N, out]
   if (has_bias_) {
     const int n = out.dim(0);
-    const float* __restrict b = bias_.data().data();
+    const float* __restrict b = std::as_const(bias_).data().data();
     for (int i = 0; i < n; ++i) {
       float* __restrict row = out.data().data() +
                               static_cast<std::ptrdiff_t>(i) * out_features_;

@@ -67,10 +67,12 @@ class Model {
   /// Single-line signature used for memoization keys.
   std::string signature() const;
 
-  /// Deep-copies layers [begin, end) into a new model whose input shape is
-  /// the boundary shape at `begin`.
+  /// Copies layers [begin, end) into a new model whose input shape is the
+  /// boundary shape at `begin`. Like every Model copy, the new layers share
+  /// the weight buffers of these ones until either side writes to them
+  /// (tensor::Tensor is copy-on-write).
   Model slice(std::size_t begin, std::size_t end) const;
-  /// Appends deep copies of all layers of `other`.
+  /// Appends copies of all layers of `other` (sharing their buffers).
   void append(const Model& other);
 
   std::string summary() const;

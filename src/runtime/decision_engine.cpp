@@ -5,8 +5,14 @@
 #include "latency/device_profile.h"
 #include "nn/factory.h"
 #include "obs/span.h"
+#include "util/sharded_cache.h"
 
 namespace cadmc::runtime {
+
+namespace {
+// Base of the per-strategy realization seeds.
+constexpr std::uint64_t kRealizeSeed = 0xFA17;
+}  // namespace
 
 DecisionEngine::DecisionEngine(nn::Model base, EngineConfig config)
     : base_(std::move(base)),
@@ -59,6 +65,7 @@ void DecisionEngine::train_offline() {
   tree::TreeSearch search(*evaluator_, boundaries_, fork_bandwidths_,
                           tree_config);
   search_result_ = search.run();
+  realized_.clear();
 }
 
 const tree::ModelTree& DecisionEngine::tree() const {
@@ -120,10 +127,9 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
     }
   }
 
-  engine::RealizedStrategy realized = [&] {
+  engine::RealizedStrategy& path = [&]() -> engine::RealizedStrategy& {
     obs::ScopedSpan realize_span("realize", &reg);
-    return engine::realize_strategy(base_, outcome.strategy,
-                                    faithful_registry_, realize_rng_);
+    return realized(outcome.strategy, reg);
   }();
 
   // The modelled per-stage costs (edge device, uplink, cloud) price the
@@ -133,7 +139,7 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
   {
     obs::ScopedSpan edge_span("edge_exec", &reg);
     edge_span.set_modelled_ms(eval.breakdown.edge_ms);
-    features = realized.model.forward_range(input, 0, realized.cut, false);
+    features = path.model.forward_range(input, 0, path.cut, false);
   }
   {
     obs::ScopedSpan transfer_span("transfer", &reg);
@@ -145,9 +151,9 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
     obs::ScopedSpan cloud_span("cloud_exec", &reg);
     cloud_span.set_modelled_ms(eval.breakdown.cloud_ms);
     outcome.logits =
-        realized.cut < realized.model.size()
-            ? realized.model.forward_range(features, realized.cut,
-                                           realized.model.size(), false)
+        path.cut < path.model.size()
+            ? path.model.forward_range(features, path.cut, path.model.size(),
+                                       false)
             : features;
   }
   outcome.latency_ms = eval.latency_ms;
@@ -159,6 +165,25 @@ DecisionEngine::InferenceOutcome DecisionEngine::infer(
     reg.gauge("cadmc.runtime.last_bandwidth").set(trace_.at(t_ms));
   }
   return outcome;
+}
+
+engine::RealizedStrategy& DecisionEngine::realized(
+    const engine::Strategy& strategy, obs::MetricsRegistry& reg) {
+  const std::string key = strategy.key();
+  if (auto it = realized_.find(key); it != realized_.end()) {
+    if (obs::enabled()) reg.counter("cadmc.runtime.realize_cache.hit").add(1);
+    return it->second;
+  }
+  if (obs::enabled()) reg.counter("cadmc.runtime.realize_cache.miss").add(1);
+  obs::ScopedSpan span("realize_strategy", &reg);
+  // Seeded like StrategyEvaluator::edge_slice_latency_ms: a pure function of
+  // the key, so the C1-C3 re-initialisations do not depend on visit order.
+  std::uint64_t seed_state = kRealizeSeed ^ util::fnv1a64(key);
+  util::Rng rng(util::splitmix64(seed_state));
+  return realized_
+      .emplace(key, engine::realize_strategy(base_, strategy,
+                                             faithful_registry_, rng))
+      .first->second;
 }
 
 InferenceRunner DecisionEngine::make_runner(RunnerConfig runner_config) const {

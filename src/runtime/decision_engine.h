@@ -2,11 +2,14 @@
 // generates the scene's bandwidth trace, derives the K bandwidth types from
 // its quartiles, trains the RL controllers and produces the context-aware
 // model tree. Online, it composes a DNN from the tree per Alg. 2 at each
-// inference, optionally running the composed model on real tensors.
+// inference and runs the composed model on real tensors. Each composed
+// path is realized once, on first use, and reused by every later frame.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 
 #include "net/scenes.h"
 #include "runtime/emulator.h"
@@ -55,7 +58,7 @@ class DecisionEngine {
   DecisionEngine& operator=(DecisionEngine&&) = delete;
 
   /// Offline phase (Fig. 2, top): trains controllers and builds the tree.
-  /// Must be called before tree()/infer().
+  /// Must be called before tree()/infer(). Drops every realized path.
   void train_offline();
   bool trained() const { return search_result_.has_value(); }
 
@@ -68,9 +71,19 @@ class DecisionEngine {
   const tree::TreeSearchResult& search_result() const;
 
   /// Online phase: composes a strategy from the tree per Alg. 2 using the
-  /// estimator's bandwidth readings starting at `t_ms`, realizes it with
-  /// faithful weights, runs the forward pass, and reports the modelled
-  /// latency on the configured devices.
+  /// estimator's bandwidth readings starting at `t_ms`, runs the forward
+  /// pass of its realized model, and reports the modelled latency on the
+  /// configured devices.
+  ///
+  /// The realized model of each strategy (a tree path, or its degraded
+  /// all-edge variant: at most 2·K^N of them) is built on the path's first
+  /// frame with faithful weights and kept. Its uncompressed layers share
+  /// the base model's weight buffers; only layers a compression transform
+  /// creates or prunes own memory. The realization RNG is seeded from the
+  /// strategy key alone, so a path runs the same weights on every frame and
+  /// in every engine, whatever order the paths were first visited in. The
+  /// `realize` span wraps the lookup (a miss nests `realize_strategy`), and
+  /// cadmc.runtime.realize_cache.{hit,miss} count it.
   struct InferenceOutcome {
     tensor::Tensor logits;
     engine::Strategy strategy;
@@ -96,6 +109,10 @@ class DecisionEngine {
   InferenceRunner make_runner(RunnerConfig runner_config) const;
 
  private:
+  /// The realized model of `strategy`: cached, or built now on a miss.
+  engine::RealizedStrategy& realized(const engine::Strategy& strategy,
+                                     obs::MetricsRegistry& reg);
+
   nn::Model base_;
   EngineConfig config_;
   net::BandwidthTrace trace_;
@@ -104,7 +121,8 @@ class DecisionEngine {
   std::unique_ptr<engine::StrategyEvaluator> evaluator_;
   std::optional<tree::TreeSearchResult> search_result_;
   compress::TechniqueRegistry faithful_registry_;
-  util::Rng realize_rng_{0xFA17};
+  // Realized models by Strategy::key().
+  std::unordered_map<std::string, engine::RealizedStrategy> realized_;
   CircuitBreaker breaker_;
 };
 

@@ -39,6 +39,8 @@ ExecutionResult execute_range(nn::Model& model, const tensor::Tensor& input,
 /// default model from the constructor. Gateway workers execute requests
 /// concurrently, so every model is guarded by its own mutex (forward passes
 /// mutate layer caches) while distinct sessions run genuinely in parallel.
+/// Session models copied from one model share its weight buffers
+/// (tensor::Tensor is copy-on-write), so N sessions cost about one copy.
 class CloudExecutor {
  public:
   CloudExecutor(nn::Model cloud_half, latency::ComputeLatencyModel device,

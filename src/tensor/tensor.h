@@ -1,14 +1,30 @@
-// A small dense float32 tensor with value semantics. This is the numerical
-// substrate for the DNN library (src/nn): weights, activations and gradients
-// are all Tensors. Row-major (C-contiguous) layout, up to 4 dimensions,
-// NCHW convention for image tensors.
+// A small dense float32 tensor. This is the numerical substrate for the DNN
+// library (src/nn): weights, activations and gradients are all Tensors.
+// Row-major (C-contiguous) layout, up to 4 dimensions, NCHW convention for
+// image tensors.
+//
+// Storage is shared and copy-on-write. Copying a tensor (and so copying a
+// Layer or Model, slicing or appending a Model, or reshaping) only bumps a
+// reference count. Every mutating entry point — non-const data(), at() and
+// operator(), fill and the in-place arithmetic — first detaches a shared
+// buffer into a private copy, so tensors still behave as values: no write
+// through one tensor is ever visible through another. Const reads never
+// detach. The reference count is atomic, so copies of one buffer may live on
+// different threads; as with any value type, one Tensor object must not be
+// written from two threads at once.
+//
+// A raw pointer or span taken from non-const data() stays valid, and keeps
+// writing into this tensor's own buffer, only until the tensor is next
+// copied: write first, then copy.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -24,6 +40,21 @@ class Tensor {
  public:
   /// Empty tensor (numel == 0).
   Tensor() = default;
+  Tensor(const Tensor& other)
+      : shape_(other.shape_), storage_(other.storage_) {
+    if (storage_ != nullptr)
+      storage_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Tensor(Tensor&& other) noexcept
+      : shape_(std::move(other.shape_)),
+        storage_(std::exchange(other.storage_, nullptr)) {}
+  /// Copy or move assignment (copy-and-swap).
+  Tensor& operator=(Tensor other) noexcept {
+    shape_.swap(other.shape_);
+    std::swap(storage_, other.storage_);
+    return *this;
+  }
+  ~Tensor() { release(storage_); }
 
   /// Zero-initialized tensor of the given shape. All dims must be positive.
   explicit Tensor(Shape shape);
@@ -45,19 +76,26 @@ class Tensor {
     return shape_[i];
   }
   std::size_t rank() const { return shape_.size(); }
-  std::int64_t numel() const { return static_cast<std::int64_t>(data_.size()); }
-  bool empty() const { return data_.empty(); }
+  std::int64_t numel() const {
+    return static_cast<std::int64_t>(values().size());
+  }
+  bool empty() const { return values().empty(); }
 
-  std::span<float> data() { return data_; }
-  std::span<const float> data() const { return data_; }
+  std::span<float> data() {
+    detach();
+    return storage_ != nullptr ? std::span<float>(storage_->values)
+                               : std::span<float>();
+  }
+  std::span<const float> data() const { return values(); }
 
   float& at(std::int64_t i) {
     assert(i >= 0 && i < numel());
-    return data_[static_cast<std::size_t>(i)];
+    detach();
+    return storage_->values[static_cast<std::size_t>(i)];
   }
   float at(std::int64_t i) const {
     assert(i >= 0 && i < numel());
-    return data_[static_cast<std::size_t>(i)];
+    return values()[static_cast<std::size_t>(i)];
   }
 
   // Multi-dimensional accessors; rank must match.
@@ -70,7 +108,8 @@ class Tensor {
   float& operator()(int n, int c, int h, int w);
   float operator()(int n, int c, int h, int w) const;
 
-  /// Same data reinterpreted under a new shape; numel must match.
+  /// Same data reinterpreted under a new shape; numel must match. Shares
+  /// this tensor's buffer (copy-on-write).
   Tensor reshaped(Shape new_shape) const;
 
   // In-place arithmetic.
@@ -97,10 +136,39 @@ class Tensor {
   std::string to_string(int max_elems = 16) const;
 
  private:
+  // A float buffer plus the number of Tensors sharing it. Acquire/release
+  // ordering on the count makes a writer that finds itself the sole owner
+  // happen-after every read the released owners made of the buffer; this is
+  // why the count is hand-rolled: std::shared_ptr::use_count() is a relaxed
+  // load and gives no such ordering.
+  struct Storage {
+    explicit Storage(std::vector<float> v) : values(std::move(v)) {}
+    std::vector<float> values;
+    std::atomic<long> refs{1};
+  };
+  static void release(Storage* s) {
+    if (s != nullptr && s->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      delete s;
+  }
+
+  std::span<const float> values() const {
+    return storage_ != nullptr ? std::span<const float>(storage_->values)
+                               : std::span<const float>();
+  }
+  bool shared() const {
+    return storage_ != nullptr &&
+           storage_->refs.load(std::memory_order_acquire) != 1;
+  }
+  /// Gives this tensor a private copy of a shared buffer: one branch when
+  /// it already owns its buffer alone.
+  void detach() {
+    if (shared()) unshare();
+  }
+  void unshare();
   std::int64_t flat_index(std::span<const int> idx) const;
 
   Shape shape_;
-  std::vector<float> data_;
+  Storage* storage_ = nullptr;
 };
 
 }  // namespace cadmc::tensor

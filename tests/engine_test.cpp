@@ -1,8 +1,11 @@
 // Engine tests: the Eqn. (7) reward with the paper's normalization
 // (including a literal Table IV cross-check), the calibrated accuracy
-// model, strategy realization/evaluation consistency, memoization, and the
-// Alg. 1 branch search beating undirected baselines on the same budget.
+// model, strategy realization/evaluation consistency, memoization, the
+// Alg. 1 branch search beating undirected baselines on the same budget, and
+// the decision engine's realized-path cache.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "engine/accuracy_model.h"
 
@@ -352,6 +355,81 @@ TEST(Observability, DecisionEngineInferPopulatesSpansAndCounters) {
   EXPECT_EQ(global.at("cadmc.search.episodes"), 5);
   EXPECT_GE(global.at("cadmc.search.branch_episodes"), 8);
   obs::MetricsRegistry::global().reset();
+
+  // The first frame on a path realized it under the realize span; a second
+  // frame on the same path is a cache hit with no nested realization.
+  obs::set_enabled(true);
+  (void)engine.infer(x, 0.0);
+  obs::set_enabled(false);
+  const obs::RunReport second = obs::make_report(local);
+  EXPECT_EQ(second.counters.at("cadmc.runtime.realize_cache.miss"), 1);
+  EXPECT_EQ(second.counters.at("cadmc.runtime.realize_cache.hit"), 1);
+  ASSERT_EQ(second.spans.count("realize_strategy"), 1u);
+  EXPECT_EQ(second.spans.at("realize_strategy").count, 1u);
+  EXPECT_EQ(second.spans.at("realize").count, 2u);
+  EXPECT_GT(second.spans.at("realize_strategy").depth,
+            second.spans.at("realize").depth);
+  obs::MetricsRegistry::global().reset();
+}
+
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+bool reinitializes_weights(const Strategy& s) {
+  for (TechniqueId id : s.plan)
+    if (id == TechniqueId::kF3Gap || id == TechniqueId::kC1MobileNet ||
+        id == TechniqueId::kC2MobileNetV2 || id == TechniqueId::kC3SqueezeNet)
+      return true;
+  return false;
+}
+
+TEST(DecisionEngine, RealizedPathsAreFixedPerPathAndVisitOrder) {
+  // AlexNet on a two-block tree: its paths include an all-edge branch with
+  // C1/C2-compressed convs, whose replacement weights are drawn at random.
+  runtime::EngineConfig config;
+  config.scene = net::scene_by_name("4G indoor static");
+  config.base_accuracy = 0.84;
+  config.trace_duration_ms = 20'000.0;
+  config.num_blocks = 2;
+  config.tree_config.episodes = 5;
+  config.tree_config.branch_config.episodes = 8;
+  runtime::DecisionEngine in_order(nn::make_alexnet(), config);
+  runtime::DecisionEngine reversed(nn::make_alexnet(), config);
+  in_order.train_offline();
+  reversed.train_offline();
+  ASSERT_EQ(in_order.tree().to_string(), reversed.tree().to_string());
+
+  util::Rng rng(62);
+  const auto x = tensor::Tensor::randn({1, 3, 32, 32}, rng, 0.3f);
+  // `in_order` visits the paths in time order, finding the first two.
+  std::vector<double> times;
+  std::vector<runtime::DecisionEngine::InferenceOutcome> first;
+  for (double t = 0.0; t < 20'000.0 && times.size() < 2; t += 250.0) {
+    auto outcome = in_order.infer(x, t);
+    if (first.empty() || outcome.strategy.key() != first[0].strategy.key()) {
+      times.push_back(t);
+      first.push_back(std::move(outcome));
+    }
+  }
+  ASSERT_EQ(times.size(), 2u) << "the tree should offer two paths";
+  ASSERT_TRUE(reinitializes_weights(first[0].strategy) ||
+              reinitializes_weights(first[1].strategy))
+      << "one path should re-initialise weights, or the test proves nothing";
+
+  // The same path twice gives the same bits.
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(same_bits(in_order.infer(x, times[i]).logits, first[i].logits))
+        << "path " << first[i].strategy.key();
+  // `reversed` visits them in the opposite order and runs the same weights.
+  for (std::size_t i = 2; i-- > 0;) {
+    const auto outcome = reversed.infer(x, times[i]);
+    EXPECT_EQ(outcome.strategy.key(), first[i].strategy.key());
+    EXPECT_TRUE(same_bits(outcome.logits, first[i].logits))
+        << "path " << first[i].strategy.key();
+  }
 }
 
 }  // namespace

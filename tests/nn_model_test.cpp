@@ -1,10 +1,14 @@
-// Model-level tests: slicing/appending, profiling, signatures, losses,
-// optimizers, and a real end-to-end training run (an MLP learns a separable
-// synthetic task to high accuracy).
+// Model-level tests: slicing/appending, profiling, signatures, shared weight
+// buffers across copies, losses, optimizers, and a real end-to-end training
+// run (an MLP learns a separable synthetic task to high accuracy).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <thread>
 
+#include "compress/transform.h"
 #include "nn/activation.h"
 #include "nn/conv.h"
 #include "nn/factory.h"
@@ -129,6 +133,121 @@ TEST(Model, SummaryMentionsEveryLayer) {
   EXPECT_NE(s.find("conv"), std::string::npos);
   EXPECT_NE(s.find("maxpool"), std::string::npos);
   EXPECT_NE(s.find("fc"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- storage
+// Model copies share weight buffers (tensor::Tensor is copy-on-write).
+
+Model two_conv_chain(std::uint64_t seed = 44) {
+  util::Rng rng(seed);
+  Model m({2, 8, 8});
+  m.add(std::make_unique<Conv2d>(2, 8, 3, 1, 1, rng));
+  m.add(std::make_unique<ReLU>());
+  m.add(std::make_unique<Conv2d>(8, 4, 3, 1, 1, rng));
+  m.add(std::make_unique<MaxPool2d>(2, 2));
+  m.add(std::make_unique<Flatten>());
+  m.add(std::make_unique<Linear>(4 * 4 * 4, 3, rng));
+  return m;
+}
+
+const float* buffer(const Tensor& t) { return t.data().data(); }
+
+/// Buffer addresses of every parameter and gradient, in layer order.
+std::vector<const float*> buffers(Model& m) {
+  std::vector<const float*> out;
+  for (Tensor* p : m.params()) out.push_back(buffer(*p));
+  for (Tensor* g : m.grads()) out.push_back(buffer(*g));
+  return out;
+}
+
+/// Bit patterns of every parameter and gradient, in layer order.
+std::vector<std::vector<std::uint32_t>> snapshot(Model& m) {
+  std::vector<Tensor*> tensors = m.params();
+  for (Tensor* g : m.grads()) tensors.push_back(g);
+  std::vector<std::vector<std::uint32_t>> out;
+  for (const Tensor* t : tensors) {
+    std::vector<std::uint32_t>& bits = out.emplace_back();
+    for (float v : t->data()) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(ModelStorage, CopySliceAndAppendShareEveryBuffer) {
+  Model base = two_conv_chain();
+  const std::vector<const float*> base_buffers = buffers(base);
+  Model copy = base;
+  EXPECT_EQ(buffers(copy), base_buffers);
+  Model recombined = base.slice(0, 3);
+  recombined.append(base.slice(3, base.size()));
+  EXPECT_EQ(buffers(recombined), base_buffers);
+  Model assigned;
+  assigned = recombined;
+  EXPECT_EQ(buffers(assigned), base_buffers);
+}
+
+TEST(ModelStorage, SgdStepOnCopyLeavesBaseBitwiseUnchanged) {
+  Model base = two_conv_chain();
+  const auto before = snapshot(base);
+  const std::vector<const float*> base_buffers = buffers(base);
+  util::Rng rng(45);
+  const Tensor x = Tensor::randn({2, 2, 8, 8}, rng);
+  const Tensor y_before = base.forward(x);
+
+  Model copy = base;
+  const LossResult loss = cross_entropy(copy.forward(x, true), {0, 2});
+  copy.zero_grad();
+  copy.backward(loss.grad);
+  Sgd(0.1, 0.9, 1e-3).step(copy.params(), copy.grads());
+
+  EXPECT_EQ(snapshot(base), before);
+  EXPECT_EQ(buffers(base), base_buffers);
+  EXPECT_NE(snapshot(copy), before);
+  EXPECT_TRUE(same_bits(base.forward(x), y_before));
+}
+
+TEST(ModelStorage, FilterPruneOnCopyLeavesBaseBitwiseUnchanged) {
+  Model base = two_conv_chain();
+  const auto before = snapshot(base);
+  const float* fc_weight =
+      buffer(dynamic_cast<Linear&>(base.layer(5)).weight());
+
+  Model copy = base;
+  util::Rng rng(46);
+  ASSERT_TRUE(compress::FilterPruneTransform(0.5).apply(copy, 0, rng));
+  EXPECT_EQ(dynamic_cast<Conv2d&>(copy.layer(0)).out_channels(), 4);
+  EXPECT_EQ(dynamic_cast<Conv2d&>(copy.layer(2)).in_channels(), 4);
+
+  EXPECT_EQ(snapshot(base), before);
+  EXPECT_EQ(dynamic_cast<Conv2d&>(base.layer(0)).out_channels(), 8);
+  // The layers the prune did not rewire still share the base's buffers.
+  EXPECT_EQ(buffer(dynamic_cast<Linear&>(copy.layer(5)).weight()), fc_weight);
+}
+
+TEST(ModelStorage, ThreadedForwardOnCopiesMatchesSerial) {
+  Model base = make_tiny_cnn(10, 16);
+  util::Rng rng(47);
+  const Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
+  const Tensor serial = base.forward(x);
+
+  constexpr int kThreads = 4;
+  std::vector<Model> copies(kThreads, base);
+  std::vector<Tensor> outputs(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      for (int rep = 0; rep < 3; ++rep)
+        outputs[static_cast<std::size_t>(i)] =
+            copies[static_cast<std::size_t>(i)].forward(x);
+    });
+  for (std::thread& t : threads) t.join();
+  for (const Tensor& out : outputs) EXPECT_TRUE(same_bits(out, serial));
+  EXPECT_EQ(buffers(copies[0]), buffers(base));
 }
 
 TEST(Loss, CrossEntropyUniformLogits) {

@@ -1,8 +1,12 @@
 // Unit tests for the tensor substrate: construction, indexing, arithmetic,
-// matmul variants, convolution (values + gradient checks), pooling, softmax.
+// the copy-on-write storage contract, matmul variants, convolution (values +
+// gradient checks), pooling, softmax.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <utility>
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -98,6 +102,132 @@ TEST(Tensor, Reductions) {
 
 TEST(Tensor, ByteSizeIsFourPerElement) {
   EXPECT_EQ(Tensor({3, 4}).byte_size(), 48);
+}
+
+// ---------------------------------------------------------------- storage
+// Copy-on-write contract: copies share one buffer until either side writes.
+
+const float* storage_of(const Tensor& t) { return t.data().data(); }
+
+bool bitwise_equal(const Tensor& a, const std::vector<float>& values) {
+  return a.numel() == static_cast<std::int64_t>(values.size()) &&
+         std::memcmp(a.data().data(), values.data(),
+                     values.size() * sizeof(float)) == 0;
+}
+
+std::vector<float> values_of(const Tensor& t) {
+  return {t.data().begin(), t.data().end()};
+}
+
+struct Mutation {
+  const char* name;
+  Shape shape;  // operator() needs a tensor of matching rank
+  std::function<void(Tensor&)> apply;
+};
+
+std::vector<Mutation> mutations() {
+  const Tensor other = Tensor::full({2, 3}, 0.5f);
+  return {
+      {"data", {2, 3}, [](Tensor& t) { t.data()[4] = 7.0f; }},
+      {"at", {2, 3}, [](Tensor& t) { t.at(1) = 7.0f; }},
+      {"operator()(i)", {6}, [](Tensor& t) { t(5) = 7.0f; }},
+      {"operator()(i,j)", {2, 3}, [](Tensor& t) { t(1, 2) = 7.0f; }},
+      {"operator()(i,j,k)", {1, 2, 3}, [](Tensor& t) { t(0, 1, 0) = 7.0f; }},
+      {"operator()(n,c,h,w)", {1, 1, 2, 3},
+       [](Tensor& t) { t(0, 0, 1, 1) = 7.0f; }},
+      {"fill", {2, 3}, [](Tensor& t) { t.fill(7.0f); }},
+      {"add_", {2, 3}, [other](Tensor& t) { t.add_(other); }},
+      {"add_scaled_", {2, 3},
+       [other](Tensor& t) { t.add_scaled_(other, 3.0f); }},
+      {"scale_", {2, 3}, [](Tensor& t) { t.scale_(-2.0f); }},
+      {"clamp_min_", {2, 3}, [](Tensor& t) { t.clamp_min_(0.25f); }},
+  };
+}
+
+TEST(TensorStorage, CopySharesBufferUntilWritten) {
+  util::Rng rng(5);
+  const Tensor a = Tensor::randn({4, 5}, rng);
+  const Tensor b = a;
+  EXPECT_EQ(storage_of(a), storage_of(b));
+  const Tensor r = a.reshaped({20});
+  EXPECT_EQ(storage_of(a), storage_of(r));
+  Tensor moved = Tensor(b);
+  EXPECT_EQ(storage_of(moved), storage_of(a));
+}
+
+TEST(TensorStorage, EveryMutatorDetachesTheCopy) {
+  for (const Mutation& m : mutations()) {
+    SCOPED_TRACE(m.name);
+    util::Rng rng(6);
+    const Tensor original = Tensor::randn(m.shape, rng);
+    const std::vector<float> before = values_of(original);
+    Tensor copy = original;
+    m.apply(copy);
+    EXPECT_TRUE(bitwise_equal(original, before));
+    EXPECT_FALSE(bitwise_equal(copy, before));
+    EXPECT_NE(storage_of(original), storage_of(copy));
+  }
+}
+
+TEST(TensorStorage, EveryMutatorLeavesEarlierCopiesAlone) {
+  for (const Mutation& m : mutations()) {
+    SCOPED_TRACE(m.name);
+    util::Rng rng(7);
+    Tensor original = Tensor::randn(m.shape, rng);
+    const Tensor copy = original;
+    const std::vector<float> before = values_of(copy);
+    m.apply(original);
+    EXPECT_TRUE(bitwise_equal(copy, before));
+    EXPECT_FALSE(bitwise_equal(original, before));
+  }
+}
+
+TEST(TensorStorage, SoleOwnerWritesInPlace) {
+  for (const Mutation& m : mutations()) {
+    SCOPED_TRACE(m.name);
+    Tensor t = Tensor::ones(m.shape);
+    const float* buffer = storage_of(t);
+    {
+      const Tensor gone = t;  // released before the write
+    }
+    m.apply(t);
+    EXPECT_EQ(storage_of(t), buffer);
+  }
+}
+
+TEST(TensorStorage, ConstReadsDoNotDetach) {
+  util::Rng rng(8);
+  Tensor a = Tensor::randn({1, 2, 3, 4}, rng);
+  const Tensor b = a;
+  const Tensor& ca = a;
+  float sink = ca.at(3) + ca(0, 1, 2, 3) + ca.sum() + ca.max() + ca.abs_max() +
+               ca.l2_norm() + static_cast<float>(ca.argmax()) +
+               Tensor::max_abs_diff(ca, b) + ca.data()[0];
+  (void)ca.to_string();
+  (void)ca.reshaped({24});
+  EXPECT_TRUE(std::isfinite(sink));
+  EXPECT_EQ(storage_of(a), storage_of(b));
+  // Results of the const-ref kernels are fresh tensors; inputs stay shared.
+  const Tensor y = relu(ca);
+  EXPECT_EQ(storage_of(a), storage_of(b));
+  EXPECT_NE(storage_of(y), storage_of(a));
+}
+
+TEST(TensorStorage, AssignmentReleasesTheOldBuffer) {
+  Tensor a = Tensor::full({3}, 1.0f);
+  Tensor b = Tensor::full({3}, 2.0f);
+  const Tensor keep_b = b;
+  b = a;
+  EXPECT_EQ(storage_of(a), storage_of(b));
+  EXPECT_EQ(keep_b.at(0), 2.0f);
+  b = std::move(a);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.at(2), 1.0f);
+  b = b;  // self-assignment keeps the buffer
+  EXPECT_EQ(b.at(1), 1.0f);
+  const Tensor empty;
+  EXPECT_EQ(empty.numel(), 0);
+  EXPECT_TRUE(empty.data().empty());
 }
 
 TEST(Matmul, MatchesHandComputed) {
